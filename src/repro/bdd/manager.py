@@ -333,6 +333,66 @@ class BddManager:
                 return TRUE
         return acc
 
+    def agrees_under(self, f: int, g: int, dc: int, inv: bool = False) -> bool:
+        """True when ``f(x) == g(x) ^ inv`` wherever ``dc(x) = 0``.
+
+        The read-only equality-under-don't-cares test behind MSPF
+        connectability (CUDD's ``bddLeq`` / ``ite_constant`` idiom): the
+        three BDDs are walked in lockstep, triples already proven to agree
+        are memoized for this call only, and the walk stops at the first
+        care point where the functions differ.  It never calls ``_mk``, so
+        :attr:`num_nodes` is unchanged and no node limit can fire.
+        """
+        var = self._var
+        low_of = self._low
+        high_of = self._high
+        flip = 1 if inv else 0
+        proven: Set[Tuple[int, int, int]] = set()
+
+        def walk(f: int, g: int, dc: int) -> bool:
+            if dc == TRUE:
+                return True
+            # From here on the subspace holds a care point: a reduced BDD
+            # other than the TRUE terminal has a path to FALSE.
+            if f == g:
+                return not inv
+            if f <= 1 and g <= 1:
+                return f ^ g == flip
+            if dc == FALSE and not inv:
+                return False  # canonicity: f != g as nodes, so as functions
+            key = (f, g, dc)
+            if key in proven:
+                return True
+            vf = var[f] if f > 1 else _NO_VAR
+            vg = var[g] if g > 1 else _NO_VAR
+            vd = var[dc] if dc > 1 else _NO_VAR
+            top = vf
+            if vg < top:
+                top = vg
+            if vd < top:
+                top = vd
+            if vf == top:
+                f0 = low_of[f]
+                f1 = high_of[f]
+            else:
+                f0 = f1 = f
+            if vg == top:
+                g0 = low_of[g]
+                g1 = high_of[g]
+            else:
+                g0 = g1 = g
+            if vd == top:
+                d0 = low_of[dc]
+                d1 = high_of[dc]
+            else:
+                d0 = d1 = dc
+            if not (walk(f0, g0, d0) and walk(f1, g1, d1)):
+                return False
+            proven.add(key)
+            return True
+
+        return walk(f, g, dc)
+
     # -- cofactoring and quantification ----------------------------------------------
 
     def cofactor(self, f: int, var: int, value: bool) -> int:

@@ -32,7 +32,7 @@ from contextlib import contextmanager
 #: change may alter *results* (not just speed): every cached entry computed
 #: under the old code then reads as a miss instead of replaying stale
 #: networks.
-CODE_VERSION = "sbm-flow/7"
+CODE_VERSION = "sbm-flow/8"
 
 _ENABLED = True
 

@@ -12,14 +12,24 @@ partitions:
 * ``mspf(node) = ∧_i ((¬f0(po_i) ⊕ f1(po_i)) ∨ dc(po_i))``, with the loop
   stopping early "if at any point ... mspf(node) = bdd(0)",
 * the permissible set then drives resubstitution: a replacement ``new`` is
-  *connectable* when ``bdd(new) ∧ ¬mspf = bdd(old) ∧ ¬mspf`` — and thanks to
-  BDD canonicity we search for *many* connectable fanins at once and try an
-  irredundant subset, the key enhancement over the truth-table MSPF of [1],
+  *connectable* when ``bdd(new) ∧ ¬mspf = bdd(old) ∧ ¬mspf`` — and we
+  search for *many* connectable fanins at once and try an irredundant
+  subset, the key enhancement over the truth-table MSPF of [1],
+* each connectability test is the read-only
+  :meth:`~repro.bdd.manager.BddManager.agrees_under` walk, which builds no
+  BDD node, behind a bit-parallel signature screen: every window BDD is
+  evaluated over a fixed set of pseudo-random leaf assignments, and a
+  divisor reaches the exact check only if its signature matches the
+  node's (or its complement) on every pattern in the care set,
 * BDD memory-limit bailouts set the node's BDD size to 0 and move on.
+  Only the window BDD build and the MSPF computation allocate nodes, so
+  only they count against the node limit: the screen and the connectability
+  tests cannot move a bailout point.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -33,6 +43,19 @@ from repro.opt.shared import try_replace
 from repro.parallel.scheduler import register_engine
 from repro.partition.partitioner import Window
 from repro.sbm.config import MspfConfig
+from repro.sbm.simpatterns import DEFAULT_SEED
+
+#: Pseudo-random leaf assignments the signature screen evaluates.
+SCREEN_PATTERNS = 256
+_SCREEN_MASK = (1 << SCREEN_PATTERNS) - 1
+
+#: Work counters carried in the worker payload and summed by
+#: :func:`mspf_pass` over every window (applied or not).
+_WORK_COUNTERS = ("nodes_processed", "mspf_nonzero", "bdd_bailouts",
+                  "connectable_found", "divisors_screened",
+                  "prefilter_rejects", "exact_checks")
+#: Every counter of the worker payload and of ``mspf.*`` metrics.
+_PAYLOAD_FIELDS = _WORK_COUNTERS + ("rewrites", "gain")
 
 
 @dataclass
@@ -44,6 +67,12 @@ class MspfStats:
     mspf_nonzero: int = 0
     bdd_bailouts: int = 0
     connectable_found: int = 0
+    #: divisors offered to the signature screen
+    divisors_screened: int = 0
+    #: divisors the screen proved non-connectable in both polarities
+    prefilter_rejects: int = 0
+    #: divisors that passed the screen and got the exact BDD check
+    exact_checks: int = 0
     rewrites: int = 0
     gain: int = 0
 
@@ -59,15 +88,11 @@ def publish_metrics(stats: MspfStats) -> None:
     registry = obs.metrics()
     if not registry.enabled:
         return
-    # Bailouts are reported even at zero — "no bailout happened" is itself
-    # the answer the report exists to give.
-    registry.inc("mspf.bdd_bailouts", stats.bdd_bailouts)
-    for name, value in (("nodes_processed", stats.nodes_processed),
-                        ("mspf_nonzero", stats.mspf_nonzero),
-                        ("connectable_found", stats.connectable_found),
-                        ("rewrites", stats.rewrites),
-                        ("gain", stats.gain)):
-        if value:
+    for name in _PAYLOAD_FIELDS:
+        value = getattr(stats, name)
+        # Bailouts are reported even at zero — "no bailout happened" is
+        # itself the answer the report exists to give.
+        if value or name == "bdd_bailouts":
             registry.inc(f"mspf.{name}", value)
 
 
@@ -94,10 +119,9 @@ def mspf_pass(aig: Aig, config: Optional[MspfConfig] = None, jobs: int = 1,
     stats = MspfStats(partitions=report.num_windows)
     for record in report.records:
         payload = record.payload
-        stats.nodes_processed += payload.get("nodes_processed", 0)
-        stats.mspf_nonzero += payload.get("mspf_nonzero", 0)
-        stats.bdd_bailouts += payload.get("bdd_bailouts", 0)
-        stats.connectable_found += payload.get("connectable_found", 0)
+        for name in _WORK_COUNTERS:
+            setattr(stats, name,
+                    getattr(stats, name) + payload.get(name, 0))
         if record.applied:
             stats.rewrites += payload.get("rewrites", 0)
             stats.gain += record.gain
@@ -116,14 +140,7 @@ def optimize_subaig(sub: Aig, config: Optional[MspfConfig] = None):
     if sub.num_pis and sub.num_ands:
         from repro.parallel.window_io import whole_network_window
         optimize_partition(sub, whole_network_window(sub), config, stats)
-    payload = {
-        "nodes_processed": stats.nodes_processed,
-        "mspf_nonzero": stats.mspf_nonzero,
-        "bdd_bailouts": stats.bdd_bailouts,
-        "connectable_found": stats.connectable_found,
-        "rewrites": stats.rewrites,
-        "gain": stats.gain,
-    }
+    payload = {name: getattr(stats, name) for name in _PAYLOAD_FIELDS}
     publish_metrics(stats)
     changed = stats.rewrites > 0
     return changed, (sub.cleanup() if changed else None), payload
@@ -149,10 +166,10 @@ def optimize_partition(aig: Aig, window: Window, config: MspfConfig,
     # Estimated-saving ordering: big MFFCs first within the topological list.
     nodes.sort(key=lambda n: -aig.mffc_size(n))
     alive = list(window.nodes)
-    rebuilt = _window_bdds(aig, window, alive, config)
+    rebuilt = _window_bdds(aig, window, alive, config, stats)
     if rebuilt is None:
         return
-    manager, all_bdds, z_var = rebuilt
+    manager, all_bdds, z_var, screen = rebuilt
     try:
         for n in nodes:
             if aig.is_dead(n) or not aig.is_and(n) or n not in all_bdds:
@@ -167,15 +184,8 @@ def optimize_partition(aig: Aig, window: Window, config: MspfConfig,
             if mspf is None or mspf == FALSE:
                 continue
             stats.mspf_nonzero += 1
-            try:
-                gain = _resub_under_mspf(aig, window, manager, all_bdds, n,
-                                         mspf, config, stats)
-            except BddLimitError:
-                # Memory-limit bailout (Section IV-C): "the algorithm sets the
-                # BDD size of the node to 0 ... the computation can then
-                # continue by considering the other nodes."
-                stats.bdd_bailouts += 1
-                continue
+            gain = _resub_under_mspf(aig, window, manager, all_bdds, screen,
+                                     n, mspf, config, stats)
             if gain:
                 stats.rewrites += 1
                 stats.gain += gain
@@ -194,19 +204,48 @@ def optimize_partition(aig: Aig, window: Window, config: MspfConfig,
                 # one per rebuild; reset_for_reuse replays fresh-manager
                 # state exactly.
                 reuse, manager = manager, None
-                rebuilt = _window_bdds(aig, window, alive, config,
+                rebuilt = _window_bdds(aig, window, alive, config, stats,
                                        reuse=reuse)
                 if rebuilt is None:
                     return
-                manager, all_bdds, z_var = rebuilt
+                manager, all_bdds, z_var, screen = rebuilt
     finally:
         if manager is not None:
             bdd_pool.release(manager)
 
 
+class _SignatureScreen:
+    """Bit-parallel BDD evaluation over fixed pseudo-random leaf patterns.
+
+    Bit *b* of ``sig(f)`` is ``f`` under assignment *b*.  Signatures are
+    memoized per node id, which stays valid for the life of one window
+    build: nodes are append-only until ``reset_for_reuse``.
+    """
+
+    def __init__(self, manager: BddManager) -> None:
+        rng = random.Random(DEFAULT_SEED)
+        self._manager = manager
+        self._words = [rng.getrandbits(SCREEN_PATTERNS)
+                       for _ in range(manager.num_vars)]
+        self._memo: Dict[int, int] = {FALSE: 0, TRUE: _SCREEN_MASK}
+
+    def sig(self, f: int) -> int:
+        cached = self._memo.get(f)
+        if cached is not None:
+            return cached
+        manager = self._manager
+        word = self._words[manager.var_of(f)]
+        result = ((word & self.sig(manager.high(f)))
+                  | (~word & self.sig(manager.low(f))))
+        self._memo[f] = result
+        return result
+
+
 def _window_bdds(aig: Aig, window: Window, alive: List[int],
-                 config: MspfConfig, reuse: Optional[BddManager] = None):
-    """(manager, node→bdd, z variable) for the window, or None on bailout."""
+                 config: MspfConfig, stats: MspfStats,
+                 reuse: Optional[BddManager] = None):
+    """(manager, node→bdd, z variable, signature screen) for the window,
+    or None on a (counted) memory bailout."""
     num_vars = len(window.leaves) + 1
     if reuse is not None and hotpath.enabled():
         manager = reuse
@@ -221,8 +260,9 @@ def _window_bdds(aig: Aig, window: Window, alive: List[int],
         all_bdds = aig_window_to_bdds(aig, [n for n in alive if aig.is_and(n)],
                                       leaf_bdds, manager)
     except BddLimitError:
+        stats.bdd_bailouts += 1
         return None
-    return manager, all_bdds, z_var
+    return manager, all_bdds, z_var, _SignatureScreen(manager)
 
 
 def _compute_mspf(aig: Aig, window: Window, manager: BddManager,
@@ -294,32 +334,51 @@ def _bdds_with_free_node(aig: Aig, window: Window, manager: BddManager,
 
 
 def _resub_under_mspf(aig: Aig, window: Window, manager: BddManager,
-                      all_bdds: Dict[int, int], node: int, mspf: int,
-                      config: MspfConfig, stats: MspfStats) -> int:
-    """Try constants and connectable existing nodes under the MSPF."""
-    care = manager.negate(mspf)
+                      all_bdds: Dict[int, int], screen: _SignatureScreen,
+                      node: int, mspf: int, config: MspfConfig,
+                      stats: MspfStats) -> int:
+    """Try constants and connectable existing nodes under the MSPF.
+
+    Read-only on the BDD side: every test is
+    :meth:`~repro.bdd.manager.BddManager.agrees_under` with ``dc = mspf``,
+    so no node is allocated and no node-limit bailout can fire here.  A
+    divisor reaches that exact check only when the signature screen finds
+    it equal to the node (or to its complement) on every sampled care
+    pattern — a necessary condition, so the screen never drops a
+    connectable divisor.
+    """
     bdd_node = all_bdds[node]
-    on_care = manager.apply_and(bdd_node, care)
+    agrees = manager.agrees_under
     # Constants first: biggest wins.
-    if on_care == FALSE:
+    if agrees(bdd_node, FALSE, mspf):
         gain = try_replace(aig, node, lambda: 0, min_gain=1)
         if gain:
             return gain
-    if manager.apply_and(manager.negate(bdd_node), care) == FALSE:
+    if agrees(bdd_node, TRUE, mspf):
         gain = try_replace(aig, node, lambda: 1, min_gain=1)
         if gain:
             return gain
-    # Many connectable candidates at once (BDD canonicity makes each check a
-    # single AND + pointer compare); keep an irredundant subset ordered by
-    # the reclaimable MFFC.
+    # Many connectable candidates at once; keep an irredundant subset
+    # ordered by the reclaimable MFFC.
+    sig = screen.sig
+    sig_node = sig(bdd_node)
+    care = ~sig(mspf) & _SCREEN_MASK
     candidates: List[Tuple[int, int]] = []  # (candidate literal, priority)
     for d in window.leaves + window.nodes:
         if d == node or aig.is_dead(d) or d not in all_bdds:
             continue
+        stats.divisors_screened += 1
         bdd_d = all_bdds[d]
-        if manager.apply_and(bdd_d, care) == on_care:
+        diff = (sig(bdd_d) ^ sig_node) & care
+        positive = diff == 0
+        negative = diff == care
+        if not (positive or negative):
+            stats.prefilter_rejects += 1
+            continue
+        stats.exact_checks += 1
+        if positive and agrees(bdd_d, bdd_node, mspf):
             candidates.append((lit(d), 0))
-        elif manager.apply_and(manager.negate(bdd_d), care) == on_care:
+        elif negative and agrees(bdd_d, bdd_node, mspf, inv=True):
             candidates.append((lit(d, True), 0))
         if len(candidates) >= config.max_connectable_fanins:
             break

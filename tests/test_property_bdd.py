@@ -94,3 +94,35 @@ def test_cofactor_composition(spec):
         lo = mgr.cofactor(f, v, False)
         hi = mgr.cofactor(f, v, True)
         assert mgr.ite(mgr.var(v), hi, lo) == f
+
+
+def agree_specs(max_vars=8):
+    """(f, g, dc tables, related, inv, n); *related* forces agreement."""
+    return st.integers(min_value=1, max_value=max_vars).flatmap(
+        lambda n: st.tuples(
+            st.integers(min_value=0, max_value=table_mask(n)),
+            st.integers(min_value=0, max_value=table_mask(n)),
+            st.integers(min_value=0, max_value=table_mask(n)),
+            st.booleans(), st.booleans(), st.just(n)))
+
+
+@given(agree_specs())
+def test_agrees_under_matches_allocating_oracle(spec):
+    """The read-only MSPF connectability check answers exactly what
+    ``f ∧ ¬dc == (g ⊕ inv) ∧ ¬dc`` answers, and builds no node."""
+    bits_f, bits_g, bits_dc, related, inv, n = spec
+    if related:
+        # g equals f ^ inv on every care point, differs freely on dc points
+        bits_g = bits_f ^ (bits_g & bits_dc) ^ (table_mask(n) if inv else 0)
+    mgr = BddManager(n)
+    f = build_from_table(mgr, TruthTable(bits_f, n))
+    g = build_from_table(mgr, TruthTable(bits_g, n))
+    dc = build_from_table(mgr, TruthTable(bits_dc, n))
+    before = mgr.num_nodes
+    agrees = mgr.agrees_under(f, g, dc, inv=inv)
+    assert mgr.num_nodes == before
+    care = mgr.negate(dc)
+    g_pol = mgr.negate(g) if inv else g
+    assert agrees == (mgr.apply_and(f, care) == mgr.apply_and(g_pol, care))
+    if related:
+        assert agrees

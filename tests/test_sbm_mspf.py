@@ -1,9 +1,15 @@
 """Tests for the BDD-based MSPF engine (Section IV-C)."""
 
+from dataclasses import asdict
+
 from repro.aig.aig import Aig
+from repro.bdd.manager import FALSE
+from repro.parallel.window_io import whole_network_window
+from repro.partition.partitioner import PartitionConfig
 from repro.sat.equivalence import assert_equivalent, check_equivalence
+from repro.sbm import mspf as mspf_mod
 from repro.sbm.config import MspfConfig
-from repro.sbm.mspf import mspf_pass
+from repro.sbm.mspf import MspfStats, mspf_pass
 
 
 def test_classic_odc_simplification():
@@ -60,6 +66,7 @@ def test_memory_limit_bailout(random_aig_factory):
     stats = mspf_pass(aig, MspfConfig(bdd_node_limit=80))
     aig.check()
     assert_equivalent(reference, aig.cleanup())
+    assert stats.bdd_bailouts >= 1
 
 
 def test_connectable_fanin_cap(random_aig_factory):
@@ -88,3 +95,72 @@ def test_stats_shape(random_aig_factory):
     stats = mspf_pass(aig)
     assert stats.partitions >= 1
     assert stats.mspf_nonzero <= stats.nodes_processed
+
+
+def test_resub_under_mspf_allocates_no_bdd_nodes(random_aig_factory,
+                                                 monkeypatch):
+    """Connectability checks are read-only, including on a successful
+    rewrite, so they can never move a node-limit bailout point."""
+    calls = []
+    original = mspf_mod._resub_under_mspf
+
+    def recording(aig, window, manager, *args):
+        before = manager.num_nodes
+        gain = original(aig, window, manager, *args)
+        calls.append((before, manager.num_nodes, gain))
+        return gain
+
+    monkeypatch.setattr(mspf_mod, "_resub_under_mspf", recording)
+    for seed in range(4):
+        mspf_pass(random_aig_factory(10, 200, seed=seed))
+    assert any(gain for _before, _after, gain in calls)
+    assert all(before == after for before, after, _gain in calls)
+
+
+def test_signature_screen_is_sound(random_aig_factory):
+    """Every divisor the exact BDD check accepts also passes the screen."""
+    config = MspfConfig()
+    accepted = rejected = 0
+    for seed in range(4):
+        aig = random_aig_factory(10, 150, seed=seed)
+        window = whole_network_window(aig)
+        stats = MspfStats()
+        manager, all_bdds, z_var, screen = mspf_mod._window_bdds(
+            aig, window, list(window.nodes), config, stats)
+        roots = set(window.roots)
+        for node in window.nodes:
+            if node in roots:
+                continue
+            mspf = mspf_mod._compute_mspf(aig, window, manager, all_bdds,
+                                          z_var, node, config, stats)
+            if mspf is None or mspf == FALSE:
+                continue
+            care = ~screen.sig(mspf) & mspf_mod._SCREEN_MASK
+            for d in window.leaves + window.nodes:
+                if d == node:
+                    continue
+                diff = (screen.sig(all_bdds[d])
+                        ^ screen.sig(all_bdds[node])) & care
+                for inv, passes in ((False, diff == 0),
+                                    (True, diff == care)):
+                    if manager.agrees_under(all_bdds[d], all_bdds[node],
+                                            mspf, inv=inv):
+                        accepted += 1
+                        assert passes, (seed, node, d, inv)
+                    elif not passes:
+                        rejected += 1
+    assert accepted > 0 and rejected > 0
+
+
+def test_work_counters_jobs_invariant(random_aig_factory):
+    parts = PartitionConfig(max_levels=4, max_size=40, max_leaves=16)
+    runs = []
+    for jobs in (1, 2):
+        aig = random_aig_factory(12, 400, seed=42)
+        runs.append(asdict(mspf_pass(aig, MspfConfig(partition=parts),
+                                     jobs=jobs)))
+    serial, parallel = runs
+    assert parallel == serial
+    assert serial["prefilter_rejects"] > 0 and serial["exact_checks"] > 0
+    assert serial["divisors_screened"] == \
+        serial["prefilter_rejects"] + serial["exact_checks"]
