@@ -43,8 +43,8 @@ Commands
                          differential workload fuzzing (``repro.fuzz``):
                          seeded random networks through the flow, each
                          cross-examined by the oracle stack (SAT CEC,
-                         hotpath identity, jobs bit-identity, crash
-                         capture, chaos sweeps).  ``--budget N`` cases,
+                         jobs bit-identity, crash capture, chaos
+                         sweeps).  ``--budget N`` cases,
                          ``--seed S`` the recipe stream, ``--tier NAME``
                          picks the suite tier, ``--bundle-dir DIR``
                          collects failure repro bundles, ``--corpus-dir

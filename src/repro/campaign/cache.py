@@ -18,7 +18,7 @@ cache keys each job by **content**, never by name:
   ``checkpoint_dir``, ``pool`` — are excluded: the parallel contract
   guarantees bit-identical results for every ``jobs`` value, so a serial
   cold run and a 8-way warm run share entries.
-* :data:`repro.hotpath.CODE_VERSION` is salted in so bumping the engine
+* :data:`CODE_VERSION` is salted in so bumping the engine
   version invalidates every stale entry at once (partial invalidation:
   entries under other salts stay untouched on disk and simply stop
   matching).
@@ -60,12 +60,16 @@ import json
 import os
 from typing import Any, Dict, Iterator, Optional, Tuple
 
-from repro import hotpath
 from repro.aig.aig import Aig
 from repro.guard.checkpoint import atomic_write_text
 from repro.partition.partitioner import PartitionConfig
 from repro.sbm.config import FlowConfig
 
+#: Version tag of the optimization code itself, salted into every cache
+#: key.  Bump whenever an engine change may alter *results* (not just
+#: speed): every entry computed under the old code then reads as a miss
+#: instead of replaying stale networks.
+CODE_VERSION = "sbm-flow/8"
 #: Bump when the entry layout (not the flow semantics) changes.
 CACHE_SCHEMA = "repro.campaign/cache-v1"
 #: Entry schema of the per-stage memo slot (``repro.orchestrate``).
@@ -257,7 +261,7 @@ def flow_cache_key(aig: Aig, config: FlowConfig) -> Optional[str]:
         return None
     return canonical_digest({
         "schema": CACHE_SCHEMA,
-        "code": hotpath.CODE_VERSION,
+        "code": CODE_VERSION,
         "network": canonical_network(aig),
         "config": semantic,
     })
@@ -278,7 +282,7 @@ def stage_cache_key(network_fp: str, stage: str,
     """
     return canonical_digest({
         "schema": STAGE_SCHEMA,
-        "code": hotpath.CODE_VERSION,
+        "code": CODE_VERSION,
         "network": network_fp,
         "stage": stage,
         "effort": effort,
@@ -414,7 +418,7 @@ class ResultCache:
                 return None
             if data.get("key") != key:
                 return None
-            if data.get("code") != hotpath.CODE_VERSION:
+            if data.get("code") != CODE_VERSION:
                 return None
             net = data["network"]
             compact = CompactAig(num_pis=int(net["num_pis"]),
@@ -463,7 +467,7 @@ class ResultCache:
         self._commit(key, "flow", {
             "schema": CACHE_SCHEMA,
             "key": key,
-            "code": hotpath.CODE_VERSION,
+            "code": CODE_VERSION,
             "network": {"num_pis": compact.num_pis,
                         "gates": [list(gate) for gate in compact.gates],
                         "outputs": list(compact.outputs),
@@ -495,7 +499,7 @@ class ResultCache:
                 return None
             if data.get("key") != key:
                 return None
-            if data.get("code") != hotpath.CODE_VERSION:
+            if data.get("code") != CODE_VERSION:
                 return None
             net = data["network"]
             compact = CompactAig(num_pis=int(net["num_pis"]),
@@ -517,7 +521,7 @@ class ResultCache:
         self._commit(key, "stage", {
             "schema": STAGE_SCHEMA,
             "key": key,
-            "code": hotpath.CODE_VERSION,
+            "code": CODE_VERSION,
             "network": {"num_pis": compact.num_pis,
                         "gates": [list(gate) for gate in compact.gates],
                         "outputs": list(compact.outputs),

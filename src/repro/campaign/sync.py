@@ -53,7 +53,7 @@ import posixpath
 import tarfile
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro import hotpath
+from repro.campaign import cache as result_cache
 from repro.campaign.cache import CACHE_SCHEMA, STAGE_SCHEMA, canonical_digest
 from repro.guard.checkpoint import atomic_write_text
 
@@ -155,7 +155,7 @@ def pack_cache(cache_dir: str, archive_path: str,
         payloads.append((rel, raw))
     manifest: Dict[str, Any] = {
         "schema": PACK_SCHEMA,
-        "code": hotpath.CODE_VERSION,
+        "code": result_cache.CODE_VERSION,
         "entries": entries,
         "slot_stats": slot_stats,
         "corrupt_skipped": corrupt_skipped,

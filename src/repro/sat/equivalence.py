@@ -18,9 +18,8 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.aig.aig import Aig
-from repro.aig.simprogram import sim_program, wide_mask
+from repro.aig.simprogram import pack_rounds, sim_program, wide_mask
 from repro.aig.simulate import WORD_MASK, po_tables, po_words, simulate_words
-from repro import hotpath
 from repro.errors import EquivalenceError
 from repro.sat.cnf import AigCnf, build_miter
 
@@ -84,39 +83,26 @@ def find_counterexample(aig_a: Aig, aig_b: Aig,
     # Random simulation first: a cheap refutation path.
     import random
     rng = random.Random(0xCEC)
-    if hotpath.enabled():
-        # Wide hot path: one 256-bit pass per network replaces four 64-bit
-        # walks.  Patterns are drawn round-major (identical RNG sequence)
-        # and the miscompare scan below visits (round, po, bit) in the
-        # reference loop's order, so the counterexample is bit-identical.
-        rounds = [[rng.getrandbits(64) for _ in range(aig_a.num_pis)]
-                  for _ in range(4)]
-        packed = [rounds[0][i] | (rounds[1][i] << 64) | (rounds[2][i] << 128)
-                  | (rounds[3][i] << 192) for i in range(aig_a.num_pis)]
-        mask = wide_mask(4)
-        prog_a = sim_program(aig_a)
-        prog_b = sim_program(aig_b)
-        wa = prog_a.po_words(prog_a.run(packed, mask), mask)
-        wb = prog_b.po_words(prog_b.run(packed, mask), mask)
-        for r in range(4):
-            shift = 64 * r
-            for po, (x, y) in enumerate(zip(wa, wb)):
-                diff = ((x >> shift) ^ (y >> shift)) & WORD_MASK
-                if diff:
-                    bit = (diff & -diff).bit_length() - 1
-                    inputs = [bool((w >> bit) & 1) for w in rounds[r]]
-                    return Counterexample(inputs, po, aig_a.po_name(po))
-    else:
-        for _ in range(4):
-            words = [rng.getrandbits(64) for _ in range(aig_a.num_pis)]
-            wa = po_words(aig_a, simulate_words(aig_a, words))
-            wb = po_words(aig_b, simulate_words(aig_b, words))
-            for po, (x, y) in enumerate(zip(wa, wb)):
-                diff = x ^ y
-                if diff:
-                    bit = (diff & -diff).bit_length() - 1
-                    inputs = [bool((w >> bit) & 1) for w in words]
-                    return Counterexample(inputs, po, aig_a.po_name(po))
+    # One 256-bit pass per network covers four 64-bit rounds.  Patterns
+    # are drawn round-major and the miscompare scan visits (round, po, bit)
+    # in that order, so the counterexample is the one four separate
+    # 64-bit rounds would find first.
+    rounds = [[rng.getrandbits(64) for _ in range(aig_a.num_pis)]
+              for _ in range(4)]
+    packed = pack_rounds(rounds)
+    mask = wide_mask(4)
+    prog_a = sim_program(aig_a)
+    prog_b = sim_program(aig_b)
+    wa = prog_a.po_words(prog_a.run(packed, mask), mask)
+    wb = prog_b.po_words(prog_b.run(packed, mask), mask)
+    for r in range(4):
+        shift = 64 * r
+        for po, (x, y) in enumerate(zip(wa, wb)):
+            diff = ((x >> shift) ^ (y >> shift)) & WORD_MASK
+            if diff:
+                bit = (diff & -diff).bit_length() - 1
+                inputs = [bool((w >> bit) & 1) for w in rounds[r]]
+                return Counterexample(inputs, po, aig_a.po_name(po))
     miter = build_miter(aig_a, aig_b)
     cnf = AigCnf(miter)
     out = cnf.sat_literal(miter.pos()[0])

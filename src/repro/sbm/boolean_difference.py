@@ -153,9 +153,9 @@ def optimize_partition(aig: Aig, window: Window,
     leaves = window.leaves
     if not leaves:
         return
-    # Hot path: recycle a pooled manager's container capacity instead of
-    # constructing from scratch; reset_for_reuse replays fresh-manager
-    # state exactly, so node ids and bailout points are bit-identical.
+    # Recycle a pooled manager's container capacity instead of constructing
+    # from scratch; reset_for_reuse replays fresh-manager state exactly, so
+    # node ids and bailout points are those of a fresh manager.
     manager = bdd_pool.acquire(len(leaves), node_limit=config.bdd_node_limit)
     try:
         try:
@@ -243,8 +243,8 @@ def optimize_partition(aig: Aig, window: Window,
         stats.bdd_nodes_allocated += manager.num_nodes
     finally:
         # Cache clearing is the paper's per-iteration memory discipline;
-        # releasing (hot path) keeps the unique table warm for the next
-        # partition instead of discarding it.
+        # releasing hands the manager's container capacity (not its nodes)
+        # to the next partition instead of discarding it.
         manager.clear_caches()
         bdd_pool.release(manager)
 

@@ -117,15 +117,6 @@ class FlowStats:
         """Append a stage checkpoint (resulting size, elapsed seconds)."""
         self.records.append(StageRecord(stage, size, elapsed_s))
 
-    @property
-    def stages(self) -> List[Tuple[str, int]]:
-        """Deprecated ``(name, size)`` tuple view; use :attr:`records`."""
-        warnings.warn(
-            "FlowStats.stages is deprecated; use FlowStats.records "
-            "(StageRecord objects with per-stage elapsed_s)",
-            DeprecationWarning, stacklevel=2)
-        return [(r.name, r.size) for r in self.records]
-
     def to_dict(self) -> Dict[str, Any]:
         """JSON-safe representation for the run report."""
         doc: Dict[str, Any] = {

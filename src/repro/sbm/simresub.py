@@ -25,8 +25,7 @@ picklable sub-networks, each window worker is a pure function of
 ``(sub-network, config)`` (the pattern seed travels in the config), and
 results merge in deterministic partition order — ``jobs=N`` is
 bit-identical to ``jobs=1``.  Signatures use the compiled simulation
-program on the hot path and the interpreted reference walk when
-:mod:`repro.hotpath` is disabled, with identical results.
+program.
 """
 
 from __future__ import annotations

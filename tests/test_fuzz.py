@@ -23,7 +23,7 @@ from repro.parallel.window_io import CompactAig
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-#: Fast oracle: CEC only, no hotpath/jobs/chaos re-runs.
+#: Fast oracle: CEC only, no jobs/chaos re-runs.
 CEC_ONLY = OracleConfig(checks=("cec",))
 
 #: Fast generator mix: skip the (slower) EPFL mutants.
@@ -118,14 +118,6 @@ class TestOracleRungs:
         assert primary is not None and primary.check == "crash"
         assert primary.kind == "RuntimeError"
 
-    def test_refpath_flip_trips_only_hotpath(self):
-        config = OracleConfig(checks=("cec", "hotpath"))
-        with faults.injected("refpath-flip:1"):
-            verdict = run_case(_tiny_network(), config)
-        checks = [f.check for f in verdict.failures]
-        assert checks == ["hotpath"]
-        assert verdict.failures[0].kind == "HotpathDivergence"
-
     def test_jobs_flip_trips_only_jobs(self):
         config = OracleConfig(checks=("cec", "jobs"), jobs=2)
         with faults.injected("jobs-flip:1"):
@@ -133,6 +125,14 @@ class TestOracleRungs:
         checks = [f.check for f in verdict.failures]
         assert checks == ["jobs"]
         assert verdict.failures[0].kind == "JobsDivergence"
+
+    @pytest.mark.parametrize("checks", [("cec", "hotpath"), ("cec", "jbos")])
+    def test_unknown_check_names_rejected(self, checks):
+        # A retired or misspelled rung must fail loudly, not run nothing.
+        with pytest.raises(ValueError, match="chaos"):
+            OracleConfig(checks=checks)
+        with pytest.raises(ValueError):
+            OracleConfig.from_dict({"checks": list(checks)})
 
     def test_threshold_gates_the_fault(self):
         with faults.injected("flip-po:9999"):
@@ -309,11 +309,10 @@ class TestSuiteLoading:
         smoke = load_fuzz_suite(path, "smoke")
         assert smoke.name == "fuzz:smoke"
         assert smoke.budget == 200
-        assert smoke.oracle.checks == ("cec", "hotpath")
+        assert smoke.oracle.checks == ("cec",)
         nightly = load_fuzz_suite(path, "nightly")
         assert nightly.budget > smoke.budget
-        assert set(nightly.oracle.checks) == {"cec", "hotpath", "jobs",
-                                              "chaos"}
+        assert set(nightly.oracle.checks) == {"cec", "jobs", "chaos"}
         # The file's default tier resolves without naming one.
         assert load_fuzz_suite(path).name == "fuzz:smoke"
 

@@ -269,12 +269,6 @@ class TestFlowStats:
         assert stats.to_dict()["stages"][1] == {
             "name": "mspf[1]", "size": 90, "elapsed_s": 0.5}
 
-    def test_stages_property_is_deprecated_tuple_view(self):
-        stats = FlowStats()
-        stats.record("initial", 100, elapsed_s=0.1)
-        with pytest.warns(DeprecationWarning):
-            assert stats.stages == [("initial", 100)]
-
 
 class TestParallelReportSpeedup:
     def _report(self):

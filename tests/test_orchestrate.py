@@ -146,8 +146,8 @@ class TestOrderingSearch:
 
 class TestStageMemo:
     def test_warm_rerun_recomputes_nothing(self, tmp_path, monkeypatch):
-        from repro import hotpath
-        monkeypatch.setattr(hotpath, "CODE_VERSION", "sbm-flow/next")
+        from repro.campaign import cache as result_cache
+        monkeypatch.setattr(result_cache, "CODE_VERSION", "sbm-flow/next")
         aig = make_random_aig(7, 120, seed=17)
         config = small_search_config(k=3)
         with cache_context(str(tmp_path / "cache")):
@@ -242,9 +242,9 @@ class TestWiring:
             load_suite(str(path))
 
     def test_campaign_reports_cache_slots(self, tmp_path, monkeypatch):
-        from repro import hotpath
+        from repro.campaign import cache as result_cache
         from repro.campaign import jobs_from_benchmarks, run_campaign
-        monkeypatch.setattr(hotpath, "CODE_VERSION", "sbm-flow/next")
+        monkeypatch.setattr(result_cache, "CODE_VERSION", "sbm-flow/next")
         config = small_search_config(k=2, rounds=1)
         jobs = jobs_from_benchmarks(["router"], config=config)
         report = run_campaign(jobs, cache_dir=str(tmp_path / "cache"))

@@ -1,31 +1,31 @@
-"""Bit-identity proofs for the ``repro.hotpath`` optimization layer.
+"""Bit-identity proofs: every optimized engine against its oracle.
 
-Every hot path must produce *exactly* the reference path's results —
-same values, same networks, same counterexamples, same allocation-order-
-sensitive BDD node tables.  These tests toggle :mod:`repro.hotpath` and
-compare, including the satellite obligations of the hotpath issue:
+Every engine must produce *exactly* its reference formulation's results
+(:mod:`tests.reference`) — same values, same networks, same
+counterexamples, same allocation-order-sensitive BDD node tables:
 
 * compiled ``SimProgram`` / ``simulate_wide`` agree with the interpreted
   walk on random networks and random words (hypothesis-driven),
 * the NPN LRU cache equals the uncached search for **all** 65536
   4-input functions,
-* bitmask cut dominance equals the set-based subset test and cut
-  enumeration is unchanged,
+* bitmask cut dominance equals the set-based subset test,
 * BDD op caches / iteration preserve node ids and bailout points,
 * the SAT sweeping / redundancy / guard / CEC call sites produce
-  identical merges, networks, and counterexamples.
+  identical merges, networks, and counterexamples,
+* a whole flow on the oracles yields the same network as the shipped
+  engines.
 """
 
 from __future__ import annotations
 
+import os
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import hotpath
-from repro.aig.cuts import Cut, enumerate_cuts
+from repro.aig.cuts import Cut
 from repro.aig.io_aiger import write_aag_string
 from repro.aig.simprogram import (
     pack_rounds,
@@ -40,24 +40,30 @@ from repro.aig.simulate import (
 )
 from repro.bdd import pool as bdd_pool
 from repro.bdd.manager import BddManager
+from repro.bench.registry import get_benchmark
 from repro.errors import BddLimitError
+from repro.fuzz import build_case, iter_recipes, load_fuzz_suite
+from repro.fuzz.oracle import network_key
 from repro.guard.stage_guard import StageGuard
 from repro.sat.equivalence import find_counterexample
 from repro.sat.redundancy import remove_redundancies
 from repro.sat.sweep import sat_sweep
+from repro.sbm.config import FlowConfig
+from repro.sbm.flow import sbm_flow
 from repro.tt.npn import _npn_canonical_reference, npn_canonical
 from repro.tt.truthtable import TruthTable
 
+from tests import reference
 from tests.conftest import make_random_aig
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 @pytest.fixture(autouse=True)
-def _hotpath_on():
-    """Each test starts from the default (enabled) hot-path state."""
-    hotpath.set_enabled(True)
+def _empty_bdd_pool():
+    """Each test starts and ends with an empty BDD manager pool."""
     bdd_pool.clear()
     yield
-    hotpath.set_enabled(True)
     bdd_pool.clear()
 
 
@@ -75,8 +81,7 @@ def test_simulate_words_matches_reference(spec, word_seed):
     rng = random.Random(word_seed)
     words = [rng.getrandbits(64) for _ in range(aig.num_pis)]
     hot = simulate_words(aig, words)
-    with hotpath.disabled():
-        ref = simulate_words(aig, words)
+    ref = reference.simulate_words(aig, words)
     assert hot == ref
     assert po_words(aig, hot) == po_words(aig, ref)
 
@@ -91,11 +96,10 @@ def test_simulate_wide_matches_per_round_reference(spec, word_seed, rounds):
                       for _ in range(rounds)]
     wide = simulate_wide(aig, pack_rounds(pattern_rounds), rounds)
     mask64 = (1 << 64) - 1
-    with hotpath.disabled():
-        for r, words in enumerate(pattern_rounds):
-            ref = simulate_words(aig, words)
-            for node, value in ref.items():
-                assert (wide[node] >> (64 * r)) & mask64 == value
+    for r, words in enumerate(pattern_rounds):
+        ref = reference.simulate_words(aig, words)
+        for node, value in ref.items():
+            assert (wide[node] >> (64 * r)) & mask64 == value
 
 
 @settings(max_examples=30, deadline=None)
@@ -104,8 +108,7 @@ def test_simulate_complete_matches_reference(spec):
     num_pis, num_nodes, seed = spec
     aig = make_random_aig(num_pis, num_nodes, seed)
     hot = simulate_complete(aig)
-    with hotpath.disabled():
-        ref = simulate_complete(aig)
+    ref = reference.simulate_complete(aig)
     assert hot == ref
 
 
@@ -118,8 +121,7 @@ def test_sim_program_invalidated_by_edits():
     p2 = sim_program(aig)
     assert p2 is not p1
     words = [random.Random(3).getrandbits(64) for _ in range(aig.num_pis)]
-    with hotpath.disabled():
-        ref = simulate_words(aig, words)
+    ref = reference.simulate_words(aig, words)
     assert simulate_words(aig, words) == ref
 
 
@@ -133,8 +135,7 @@ def test_sim_program_survives_dict_swap():
     fresh = b.cleanup()
     a.__dict__.update(fresh.__dict__)
     words = [random.Random(9).getrandbits(64) for _ in range(4)]
-    with hotpath.disabled():
-        ref = simulate_words(a, words)
+    ref = reference.simulate_words(a, words)
     assert simulate_words(a, words) == ref
 
 
@@ -172,25 +173,11 @@ def test_cut_dominates_equals_set_subset(leaves_a, leaves_b):
     assert cut_a.dominates(cut_b) == set(leaves_a).issubset(leaves_b)
 
 
-@settings(max_examples=25, deadline=None)
-@given(aig_specs, st.booleans())
-def test_enumerate_cuts_matches_reference(spec, tables):
-    num_pis, num_nodes, seed = spec
-    aig = make_random_aig(num_pis, num_nodes, seed)
-    hot = enumerate_cuts(aig, k=4, cut_limit=8, compute_tables=tables)
-    with hotpath.disabled():
-        ref = enumerate_cuts(aig, k=4, cut_limit=8, compute_tables=tables)
-    assert hot.keys() == ref.keys()
-    for node in hot:
-        assert [(c.leaves, c.table) for c in hot[node]] == \
-            [(c.leaves, c.table) for c in ref[node]]
+# -- BDD operators ------------------------------------------------------------
 
-
-# -- BDD hot paths ------------------------------------------------------------
-
-def _bdd_op_trace(seed, limit):
+def _bdd_op_trace(seed, limit, manager_cls=BddManager):
     rng = random.Random(seed)
-    mgr = BddManager(8, node_limit=limit)
+    mgr = manager_cls(8, node_limit=limit)
     funcs = [mgr.var(i) for i in range(8)] + [mgr.nvar(i) for i in range(8)]
     trace = []
     for _ in range(300):
@@ -221,10 +208,10 @@ def _bdd_op_trace(seed, limit):
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_bdd_hot_path_preserves_node_ids_and_bailouts(seed, limit):
     """Node ids, unique-table contents, and BddLimitError points are
-    allocation-order sensitive; the hot path must replay them exactly."""
+    allocation-order sensitive; the optimized operators must replay the
+    recursive ones exactly."""
     hot = _bdd_op_trace(seed, limit)
-    with hotpath.disabled():
-        ref = _bdd_op_trace(seed, limit)
+    ref = _bdd_op_trace(seed, limit, reference.ReferenceBddManager)
     assert hot == ref
 
 
@@ -249,10 +236,10 @@ def test_bdd_pool_round_trip_and_cap():
     assert m2 is m1  # recycled
     assert m2.num_vars == 6
     assert m2.node_limit == 2000
-    with hotpath.disabled():
+    with reference.engines():
         bdd_pool.release(m2)
         m3 = bdd_pool.acquire(4)
-        assert m3 is not m2  # reference path never recycles
+        assert m3 is not m2  # the oracles never recycle
 
 
 # -- optimizer call sites -----------------------------------------------------
@@ -263,8 +250,7 @@ def test_sat_sweep_matches_reference(seed):
     a = make_random_aig(5, 40, seed)
     b = make_random_aig(5, 40, seed)
     merges_hot = sat_sweep(a)
-    with hotpath.disabled():
-        merges_ref = sat_sweep(b)
+    merges_ref = reference.sat_sweep(b)
     assert merges_hot == merges_ref
     assert write_aag_string(a.cleanup()) == write_aag_string(b.cleanup())
 
@@ -275,8 +261,8 @@ def test_remove_redundancies_matches_reference(seed):
     a = make_random_aig(5, 30, seed)
     b = make_random_aig(5, 30, seed)
     removed_hot = remove_redundancies(a, max_checks=25)
-    with hotpath.disabled():
-        removed_ref = remove_redundancies(b, max_checks=25)
+    with reference.engines():
+        removed_ref = reference.remove_redundancies(b, max_checks=25)
     assert removed_hot == removed_ref
     assert write_aag_string(a.cleanup()) == write_aag_string(b.cleanup())
 
@@ -284,14 +270,13 @@ def test_remove_redundancies_matches_reference(seed):
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 10 ** 6))
 def test_find_counterexample_matches_reference(seed):
-    # >12 PIs forces the random-simulation (wide hot path) rung.
+    # >12 PIs forces the random-simulation (wide-word) rung.
     a = make_random_aig(14, 50, seed, num_pos=6)
     b = make_random_aig(14, 50, seed + 1, num_pos=6)
     hot_same = find_counterexample(a, a.cleanup())
     hot_diff = find_counterexample(a, b)
-    with hotpath.disabled():
-        ref_same = find_counterexample(a, a.cleanup())
-        ref_diff = find_counterexample(a, b)
+    ref_same = reference.find_counterexample(a, a.cleanup())
+    ref_diff = reference.find_counterexample(a, b)
     assert hot_same is None and ref_same is None
     if ref_diff is None:
         assert hot_diff is None
@@ -307,10 +292,10 @@ def test_stage_guard_fast_check_matches_reference(seed):
     ref_net = make_random_aig(9, 45, seed, num_pos=5)
     other = make_random_aig(9, 45, seed + 7, num_pos=5)
     guard_hot = StageGuard(ref_net.cleanup())
-    with hotpath.disabled():
-        guard_ref = StageGuard(ref_net.cleanup())
-        cex_same_ref = guard_ref.fast_check(ref_net.cleanup())
-        cex_diff_ref = guard_ref.fast_check(other)
+    guard_ref = StageGuard(ref_net.cleanup())
+    cex_same_ref = reference.stage_guard_fast_check(guard_ref,
+                                                    ref_net.cleanup())
+    cex_diff_ref = reference.stage_guard_fast_check(guard_ref, other)
     cex_same_hot = guard_hot.fast_check(ref_net.cleanup())
     cex_diff_hot = guard_hot.fast_check(other)
     assert cex_same_hot is None and cex_same_ref is None
@@ -331,7 +316,7 @@ def test_wide_mask_and_pack_rounds_layout():
     assert pack_rounds([]) == []
 
 
-# -- SOP hot paths ------------------------------------------------------------
+# -- SOP algebra ------------------------------------------------------------
 
 def _random_cover(rng, num_vars, num_cubes):
     from repro.sop.sop import Sop
@@ -359,9 +344,9 @@ def test_sop_division_matches_reference(seed):
     cube = (rng.getrandbits(nv), rng.getrandbits(nv) & ~f.support_mask())
     q_hot, r_hot = divide(f, d)
     qc_hot, rc_hot = divide_by_cube(f, cube)
-    with hotpath.disabled():
-        q_ref, r_ref = divide(f, d)
-        qc_ref, rc_ref = divide_by_cube(f, cube)
+    with reference.engines():
+        q_ref, r_ref = reference.divide(f, d)
+        qc_ref, rc_ref = reference.divide_by_cube(f, cube)
     assert q_hot.cubes == q_ref.cubes
     assert r_hot.cubes == r_ref.cubes
     assert qc_hot.cubes == qc_ref.cubes
@@ -380,8 +365,8 @@ def test_sop_best_kernel_matches_reference(seed):
     found_cached = best_kernel(nodes, _cache=cache)
     found_replay = best_kernel(nodes, _cache=cache)
     found_plain = best_kernel(nodes)
-    with hotpath.disabled():
-        found_ref = best_kernel(nodes)
+    with reference.engines():
+        found_ref = reference.best_kernel(nodes)
     for found in (found_cached, found_replay, found_plain):
         if found_ref is None:
             assert found is None
@@ -392,8 +377,8 @@ def test_sop_best_kernel_matches_reference(seed):
     for node in nodes[:2]:
         for kernel, _ck in kernels(node, 10):
             v_hot = kernel_value(nodes, kernel)
-            with hotpath.disabled():
-                v_ref = kernel_value(nodes, kernel)
+            with reference.engines():
+                v_ref = reference.kernel_value(nodes, kernel)
             assert v_hot == v_ref
 
 
@@ -407,6 +392,33 @@ def test_sop_add_cube_matches_reference(seed):
     for _ in range(rng.randrange(1, 14)):
         cubes.append((rng.getrandbits(nv), rng.getrandbits(nv)))
     hot = Sop(cubes)
-    with hotpath.disabled():
+    with reference.engines():
         ref = Sop(cubes)
     assert hot.cubes == ref.cubes
+
+
+# -- whole flows --------------------------------------------------------------
+
+def _flow_keys(cases):
+    """``network_key`` of ``sbm_flow`` on every (build, config) case."""
+    return [network_key(sbm_flow(build(), config)[0])
+            for build, config in cases]
+
+
+def test_flow_on_oracles_is_bit_identical():
+    """The flow-level contract: router at the default config plus the
+    smoke fuzz tier's first recipes give the same networks on the shipped
+    engines and on the oracles."""
+    smoke = load_fuzz_suite(os.path.join(REPO, "suites", "fuzz.toml"),
+                            "smoke")
+    recipes = iter_recipes(smoke.seed, 20, generators=smoke.generators,
+                           benchmarks=smoke.benchmarks,
+                           max_gates=smoke.max_gates)
+    cases = [(lambda: get_benchmark("router"), FlowConfig())]
+    cases += [(lambda recipe=recipe: build_case(recipe),
+               smoke.oracle.flow_config()) for recipe in recipes]
+    shipped = _flow_keys(cases)
+    bdd_pool.clear()
+    with reference.engines():
+        oracle = _flow_keys(cases)
+    assert shipped == oracle

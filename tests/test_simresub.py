@@ -3,14 +3,14 @@
 The contracts under test:
 
 * **Pattern store** — deterministic seeding, bounded counterexample
-  growth, and hot/reference signature bit-identity.
+  growth, and signatures bit-identical to the per-round oracle.
 * **No false negatives** — signature filtering may propose candidates SAT
   later refutes, but any truly-valid resubstitution within the divisor
   budget is always proposed (the hypothesis superset property).
 * **Soundness** — the pass preserves the network function (SAT-CEC), on
   random logic and on real EPFL benchmarks.
 * **Determinism** — ``jobs=4`` is bit-identical to ``jobs=1``, and the
-  hot path is bit-identical to the reference path.
+  pass is bit-identical on the reference oracles (:mod:`tests.reference`).
 * **Flow integration** — the stage appears exactly when
   ``enable_simresub`` is set, degrades under chaos faults with rollback,
   and its CEGAR loop actually learns counterexample patterns.
@@ -22,7 +22,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import hotpath
 from repro.aig.aig import lit
 from repro.aig.simulate import simulate_words
 from repro.bench.registry import get_benchmark
@@ -35,6 +34,7 @@ from repro.sbm.flow import sbm_flow
 from repro.sbm.simpatterns import PatternStore
 from repro.sbm.simresub import iter_candidates, simresub_pass
 
+from tests import reference
 from tests.conftest import make_random_aig
 
 
@@ -84,8 +84,7 @@ class TestPatternStore:
         store = PatternStore(7, num_words=2, seed=5)
         store.add_pattern([True] * 7)          # force a partial last round
         hot = store.signatures(aig)
-        with hotpath.disabled():
-            ref = store.signatures(aig)
+        ref = reference.pattern_signatures(store, aig)
         assert hot == ref
 
     def test_signature_bits_are_per_pattern_simulations(self):
@@ -250,7 +249,7 @@ class TestSimresubPass:
         a = random_aig_factory(8, 150, seed=9)
         b = random_aig_factory(8, 150, seed=9)
         hot_stats = simresub_pass(a)
-        with hotpath.disabled():
+        with reference.engines():
             ref_stats = simresub_pass(b)
         assert hot_stats == ref_stats
         assert structure(a.cleanup()) == structure(b.cleanup())
