@@ -24,11 +24,9 @@ from typing import List
 from repro.aig.aig import CONST0, Aig, lit_not
 from repro.aig.compose import (
     constant_word,
-    decoder,
     equal,
     less_than,
     mux_word,
-    onehot_mux,
     popcount,
     ripple_adder,
 )

@@ -31,8 +31,7 @@ from repro.fuzz.generators import (GENERATOR_NAMES, MUTATION_BENCHMARKS,
                                    CaseRecipe, build_case, iter_recipes)
 from repro.fuzz.minimize import minimize
 from repro.fuzz.oracle import CaseResult, OracleConfig, run_case
-from repro.fuzz.triage import (FailureBundle, FuzzCorpus, build_bundle,
-                               write_bundle)
+from repro.fuzz.triage import FuzzCorpus, build_bundle, write_bundle
 
 #: Minimizer predicate evaluations per failing case.
 DEFAULT_MINIMIZE_EVALS = 120

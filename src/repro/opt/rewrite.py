@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.aig.aig import Aig, lit_notcond
-from repro.aig.cuts import Cut, enumerate_cuts
+from repro.aig.cuts import enumerate_cuts
 from repro.opt.shared import try_replace
 from repro.sop.factor import FactoredForm, factor, factored_to_aig
 from repro.tt.isop import isop

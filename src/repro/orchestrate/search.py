@@ -14,8 +14,10 @@
    any result;
 3. each stage of a candidate first consults the :class:`~repro
    .orchestrate.memo.StageMemo`; a hit returns the cached output network
-   instantly, a miss runs the stage and commits the result, so shared
-   prefixes across candidates/rounds/campaigns are computed exactly once;
+   instantly, a miss runs the stage through the waterfall's guarded
+   stage step (:func:`repro.sbm.flow._guarded_step`) and commits the
+   result, so shared prefixes across candidates/rounds/campaigns are
+   computed exactly once;
 4. the **winner** (lowest objective; node count by default, pluggable
    for the future cost-generic work) seeds the next round, and every
    candidate's per-stage node gains train the bandit.
@@ -41,7 +43,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.aig.aig import Aig, lit_not
+from repro.aig.aig import Aig
 from repro.campaign.cache import (
     active_cache,
     canonical_stage_config,
@@ -49,14 +51,14 @@ from repro.campaign.cache import (
     stage_cache_key,
 )
 from repro.guard.budget import FULL
-from repro.guard.stage_guard import GuardReport, StageGuard
+from repro.guard.stage_guard import StageGuard
 from repro.obs import NULL_METRICS, NULL_SPAN, NULL_TRACER, TelemetryCollector
-from repro.opt.balance import balance
 from repro.orchestrate.bandit import TransitionBandit
 from repro.orchestrate.memo import StageMemo
 from repro.parallel.shared_pool import SharedProcessPool
 from repro.parallel.window_io import CompactAig
 from repro.sbm.config import FlowConfig, OrchestrateConfig
+from repro.sbm.flow import _flow_envelope, _guarded_step, _stage_specs
 
 #: Pluggable candidate objective: lower is better.  The default is AIG
 #: node count — the paper's metric; the cost-generic ROADMAP item plugs
@@ -76,7 +78,8 @@ class CandidateOutcome:
     sequence: List[str]
     network: CompactAig
     score: float
-    #: per-stage rows: name, nodes_before/after, elapsed_s, cached flag
+    #: per-stage rows: name, nodes_before/after, elapsed_s, cached and
+    #: rolled_back flags, depth_rollback (restored size) and guard_rollback
     rows: List[Dict[str, Any]]
 
     @property
@@ -127,7 +130,8 @@ def _evaluate_candidate(base: CompactAig, sequence: Sequence[str],
                     canonical_stage_config(config, name),
                     effort=1, depth_limit=depth_limit)
             t0 = time.perf_counter()
-            cached = rolled_back = False
+            cached = rolled_back = guard_rollback = False
+            depth_rollback: Optional[int] = None
             if key is not None:
                 hit = memo.lookup(key)
                 if hit is not None:
@@ -139,41 +143,13 @@ def _evaluate_candidate(base: CompactAig, sequence: Sequence[str],
                     if guard is not None:
                         guard.commit(net)
             if not cached:
-                from repro.sbm.flow import _StageCtx
-                if spec.snapshot == "cleanup":
-                    before = net.cleanup()
-                elif spec.snapshot == "raw":
-                    before = net
-                else:
-                    before = None
-                ctx = _StageCtx(
-                    config=config, effort=1, level=FULL, span=NULL_SPAN,
-                    chaos_scope=f"orch:r{round_index}:c{cand_index}"
-                                f":{pos}:{name}")
-                result = spec.run(net, ctx)
-                if spec.depth_guard and before is not None \
-                        and depth_limit is not None:
-                    if result.depth > depth_limit:
-                        result = balance(result)
-                    if result.depth > depth_limit \
-                            and before.depth <= depth_limit:
-                        result = before
-                        rolled_back = True
-                chaos = config.chaos
-                if chaos is not None and chaos.draw_stage(
-                        f"orch:r{round_index}:c{cand_index}"
-                        f":{pos}:{name}") == "corrupt-result":
-                    corrupted = result.cleanup()
-                    corrupted.set_po(0, lit_not(corrupted.pos()[0]))
-                    result = corrupted
-                if guard is not None:
-                    cex = guard.check(result)
-                    if cex is None:
-                        guard.commit(result)
-                    else:
-                        result = guard.rollback_copy()
-                        rolled_back = True
-                net = result
+                site = f"orch:r{round_index}:c{cand_index}:{pos}:{name}"
+                net, depth_rollback, cex = _guarded_step(
+                    net, spec, config, effort=1, level=FULL, span=NULL_SPAN,
+                    chaos_scope=site, chaos_site=site,
+                    depth_limit=depth_limit, guard=guard)
+                guard_rollback = cex is not None
+                rolled_back = depth_rollback is not None or guard_rollback
                 if key is not None and not rolled_back:
                     memo.store(key, net, {
                         "nodes_before": nodes_before,
@@ -184,7 +160,9 @@ def _evaluate_candidate(base: CompactAig, sequence: Sequence[str],
                          "nodes_after": net.num_ands,
                          "elapsed_s": time.perf_counter() - t0,
                          "cached": cached,
-                         "rolled_back": rolled_back})
+                         "rolled_back": rolled_back,
+                         "depth_rollback": depth_rollback,
+                         "guard_rollback": guard_rollback})
         return CandidateOutcome(index=cand_index, sequence=list(sequence),
                                 network=CompactAig.from_aig(net),
                                 score=objective(net), rows=rows)
@@ -206,7 +184,6 @@ def orchestrated_flow(aig: Aig, config: FlowConfig,
     ``config.iterations`` is superseded by ``OrchestrateConfig.rounds``:
     the search rounds *are* the flow's iteration structure.
     """
-    from repro.sbm.flow import FlowStats, _stage_specs
     ocfg = config.orchestrate or OrchestrateConfig()
     if config.flow_timeout_s is not None:
         raise ValueError(
@@ -240,32 +217,15 @@ def orchestrated_flow(aig: Aig, config: FlowConfig,
         min(ocfg.k, pool.workers) if pool is not None else 1)
     threads = max(1, threads)
 
-    chaos = config.chaos
-    chaos_mark = len(chaos.injected) if chaos is not None else 0
-    stats = FlowStats()
-    stats.guard = report = GuardReport(
-        chaos_seed=chaos.seed if chaos is not None else None)
     bandit = TransitionBandit(movable, seed=ocfg.seed,
                               explore=ocfg.explore,
                               min_stages=ocfg.min_stages)
-    start = time.time()
     bus = obs.live_bus()
     try:
-        with obs.span("flow", kind="flow", design=aig.name,
-                      orchestrate=True, k=ocfg.k,
-                      rounds=ocfg.rounds) as flow_span:
-            current = aig.cleanup()
-            stats.record("initial", current.num_ands)
-            depth_limit = None
-            if config.max_depth_growth is not None:
-                depth_limit = max(
-                    1, int(current.depth * config.max_depth_growth))
-            flow_span.set("nodes_before", current.num_ands)
-            if bus.enabled:
-                bus.emit("flow_start", design=aig.name,
-                         nodes=current.num_ands, stages=0,
-                         iterations=ocfg.rounds, resumed_at=0)
-            best = current
+        with _flow_envelope(aig, config, stages=0, iterations=ocfg.rounds,
+                            span_attrs={"orchestrate": True, "k": ocfg.k,
+                                        "rounds": ocfg.rounds}) as run:
+            current = best = run.current
             best_score = objective(best)
             incumbent = list(movable)
             rounds_doc: List[Dict[str, Any]] = []
@@ -283,21 +243,25 @@ def orchestrated_flow(aig: Aig, config: FlowConfig,
                               nodes_before=current.num_ands) as round_span:
                     outcomes = _evaluate_round(
                         base, sequences, specs_by_name, eval_config, memo,
-                        depth_limit, objective, round_index, threads)
+                        run.depth_limit, objective, round_index, threads)
                     winner = min(outcomes,
                                  key=lambda o: (o.score, o.index))
                     round_span.set("nodes_after", winner.network.num_ands)
                 for outcome in outcomes:
                     bandit.update(outcome.sequence, outcome.gains)
                     for row in outcome.rows:
-                        if row["rolled_back"]:
-                            report.add("rolled_back", row["name"],
-                                       round_index,
-                                       candidate=outcome.index)
+                        if row["guard_rollback"]:
+                            run.report.add("rolled_back", row["name"],
+                                           round_index,
+                                           candidate=outcome.index)
                 current = winner.network.to_aig()
                 for row in winner.rows:
-                    stats.record(f"{row['name']}[r{round_index + 1}]",
-                                 row["nodes_after"], row["elapsed_s"])
+                    if row["depth_rollback"] is not None:
+                        run.stats.record(
+                            f"{row['name']}:rolled_back[r{round_index + 1}]",
+                            row["depth_rollback"])
+                    run.stats.record(f"{row['name']}[r{round_index + 1}]",
+                                     row["nodes_after"], row["elapsed_s"])
                 if winner.score < best_score:
                     best = current.cleanup()
                     best_score = winner.score
@@ -321,25 +285,17 @@ def orchestrated_flow(aig: Aig, config: FlowConfig,
                              ordering=">".join(winner.sequence),
                              nodes=winner.network.num_ands,
                              cached=winner.cached_stages)
-            stats.runtime_s = time.time() - start
-            stats.record("final", best.num_ands)
-            stats.orchestrate = {
+            run.best = best
+            run.stats.orchestrate = {
                 "k": ocfg.k,
                 "rounds": rounds_doc,
                 "chosen": rounds_doc[-1]["ordering"] if rounds_doc else [],
                 "stage_memo": memo.stats() if memo is not None else None,
             }
-            flow_span.set("nodes_after", best.num_ands)
-            if bus.enabled:
-                bus.emit("flow_end", design=aig.name, nodes=best.num_ands)
     finally:
         if own_pool is not None:
             own_pool.shutdown()
-        if chaos is not None:
-            report.faults.extend(chaos.injected_since(chaos_mark))
-        obs.record_guard_report(report)
-    obs.record_flow_stats(stats)
-    return best, stats
+    return run.best, run.stats
 
 
 def _evaluate_round(base: CompactAig, sequences: List[List[str]],

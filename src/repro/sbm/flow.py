@@ -31,7 +31,9 @@ engines bail out; disable with ``FlowConfig.enable_simresub = False``.
 Execution model
 ---------------
 The iteration body is a **data-driven stage table** (:func:`_stage_specs`)
-run through a guarded executor rather than straight-line code.  Each stage
+run through a guarded executor rather than straight-line code.  Every
+stage runs through one guarded step (:func:`_guarded_step`), which the
+pass-ordering search (:mod:`repro.orchestrate.search`) shares.  Each stage
 gets a global index (``iteration * stages_per_iteration + position``) —
 the cursor that budgets, checkpoints, resume, and fault injection all key
 on:
@@ -61,8 +63,9 @@ from __future__ import annotations
 import dataclasses
 import time
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro import obs
 from repro.aig.aig import Aig, lit_not
@@ -80,6 +83,7 @@ from repro.opt.balance import balance
 from repro.opt.refactor import refactor
 from repro.opt.scripts import compress2rs_step
 from repro.partition.partitioner import PartitionConfig
+from repro.sat.equivalence import Counterexample
 from repro.sat.redundancy import remove_redundancies
 from repro.sat.sweep import sat_sweep
 from repro.sbm.boolean_difference import boolean_difference_pass
@@ -305,21 +309,65 @@ def _stage_specs(config: FlowConfig) -> List[_StageSpec]:
 
 # -- guarded stage execution ---------------------------------------------------
 
-class _StageRunner:
-    """Runs one stage under budget, depth, chaos, and equivalence guards."""
+def _guarded_step(aig: Aig, spec: _StageSpec, config: FlowConfig, *,
+                  effort: int, level: int, span: Any, chaos_scope: str,
+                  chaos_site: str, depth_limit: Optional[int],
+                  guard: Optional[StageGuard],
+                  ) -> Tuple[Aig, Optional[int], Optional[Counterexample]]:
+    """Run *spec* on *aig* under the depth, chaos and equivalence guards.
 
-    def __init__(self, config: FlowConfig, stats: FlowStats,
-                 report: GuardReport, deadline: DeadlineManager,
-                 guard: Optional[StageGuard],
-                 depth_limit: Optional[int],
-                 total_stages: int = 0) -> None:
-        self.config = config
-        self.stats = stats
-        self.report = report
-        self.deadline = deadline
-        self.guard = guard
-        self.depth_limit = depth_limit
-        self.total_stages = total_stages
+    The stage step of both the waterfall (:class:`_StageRunner`) and the
+    pass-ordering search.  Takes the ``spec.snapshot`` (its size is the
+    span's ``nodes_before``), runs the stage, rebalances or rolls back
+    past *depth_limit*, draws the ``corrupt-result`` fault at
+    *chaos_site*, then commits to or rolls back to *guard*.  Returns the
+    network, the restored size if the depth guard rolled back, and the
+    counterexample if the equivalence guard did.
+    """
+    if spec.snapshot == "cleanup":
+        before = aig.cleanup()
+    elif spec.snapshot == "raw":
+        before = aig
+    else:
+        before = None
+    span.set("nodes_before", (before if before is not None else aig).num_ands)
+    ctx = _StageCtx(config, effort, level, span, chaos_scope)
+    result = spec.run(aig, ctx)
+    depth_rollback = None
+    if spec.depth_guard and before is not None and depth_limit is not None:
+        if result.depth > depth_limit:
+            result = balance(result)
+        if result.depth > depth_limit and before.depth <= depth_limit:
+            result = before
+            depth_rollback = before.num_ands
+    chaos = config.chaos
+    if chaos is not None \
+            and chaos.draw_stage(chaos_site) == "corrupt-result":
+        result = result.cleanup()
+        result.set_po(0, lit_not(result.pos()[0]))
+        obs.metrics().inc("guard.chaos.injected", kind="stage-corrupt")
+    cex = None
+    if guard is not None:
+        cex = guard.check(result)
+        if cex is None:
+            guard.commit(result)
+        else:
+            result = guard.rollback_copy()
+    return result, depth_rollback, cex
+
+
+@dataclass
+class _StageRunner:
+    """The waterfall's budgets, telemetry and reporting around
+    :func:`_guarded_step`."""
+
+    config: FlowConfig
+    stats: FlowStats
+    report: GuardReport
+    deadline: DeadlineManager
+    guard: Optional[StageGuard]
+    depth_limit: Optional[int]
+    total_stages: int = 0
 
     def run_stage(self, aig: Aig, spec: _StageSpec, iteration: int,
                   stage_index: int) -> Aig:
@@ -348,24 +396,21 @@ class _StageRunner:
                             share_s=plan.share_s)
             obs.metrics().inc("guard.stage_degraded", stage=spec.name)
         t0 = time.perf_counter()
-        if spec.snapshot == "cleanup":
-            before = aig.cleanup()
-        elif spec.snapshot == "raw":
-            before = aig
-        else:
-            before = None
-        nodes_before = (before if before is not None else aig).num_ands
-        with obs.span(spec.name, kind="stage", effort=effort,
-                      nodes_before=nodes_before) as span:
-            ctx = _StageCtx(config=self.config, effort=effort, level=level,
-                            span=span,
-                            chaos_scope=f"it{effort}:{spec.name}")
-            result = spec.run(aig, ctx)
-            if spec.depth_guard and before is not None:
-                result = self._depth_guard(result, before, spec.name, effort)
-            result = self._chaos_stage_fault(result, spec.name, stage_index)
-            result = self._equivalence_guard(result, spec.name, iteration,
-                                             effort)
+        with obs.span(spec.name, kind="stage", effort=effort) as span:
+            result, depth_rollback, cex = _guarded_step(
+                aig, spec, self.config, effort=effort, level=level,
+                span=span, chaos_scope=f"it{effort}:{spec.name}",
+                chaos_site=f"stage:{stage_index}:{spec.name}",
+                depth_limit=self.depth_limit, guard=self.guard)
+            if depth_rollback is not None:
+                self.stats.record(f"{spec.name}:rolled_back[{effort}]",
+                                  depth_rollback)
+            if cex is not None:
+                self.stats.record(f"{spec.name}:guard_rollback[{effort}]",
+                                  result.num_ands)
+                self.report.add("rolled_back", spec.name, iteration,
+                                counterexample=cex.to_dict())
+                obs.metrics().inc("guard.rollbacks", stage=spec.name)
             span.set("nodes_after", result.num_ands)
             self.stats.record(f"{spec.name}[{effort}]", result.num_ands,
                               time.perf_counter() - t0)
@@ -376,52 +421,6 @@ class _StageRunner:
                      nodes=result.num_ands,
                      level="reduced" if level == REDUCED else "full")
         return result
-
-    def _depth_guard(self, candidate: Aig, previous: Aig, stage: str,
-                     effort: int) -> Aig:
-        """Level discipline: rebalance, roll back if still over budget."""
-        if self.depth_limit is None:
-            return candidate
-        if candidate.depth > self.depth_limit:
-            candidate = balance(candidate)
-        if candidate.depth > self.depth_limit \
-                and previous.depth <= self.depth_limit:
-            self.stats.record(f"{stage}:rolled_back[{effort}]",
-                              previous.num_ands)
-            return previous
-        return candidate
-
-    def _chaos_stage_fault(self, aig: Aig, stage: str,
-                           stage_index: int) -> Aig:
-        """Stage-runner fault injection: corrupt the stage result."""
-        chaos = self.config.chaos
-        if chaos is None:
-            return aig
-        kind = chaos.draw_stage(f"stage:{stage_index}:{stage}")
-        if kind != "corrupt-result":
-            return aig
-        corrupted = aig.cleanup()
-        corrupted.set_po(0, lit_not(corrupted.pos()[0]))
-        obs.metrics().inc("guard.chaos.injected", kind="stage-corrupt")
-        return corrupted
-
-    def _equivalence_guard(self, aig: Aig, stage: str, iteration: int,
-                           effort: int) -> Aig:
-        """StageGuard ladder; on miscompare, roll back to the last verified
-        network and attach the counterexample to the report."""
-        if self.guard is None:
-            return aig
-        cex = self.guard.check(aig)
-        if cex is None:
-            self.guard.commit(aig)
-            return aig
-        rolled = self.guard.rollback_copy()
-        self.stats.record(f"{stage}:guard_rollback[{effort}]",
-                          rolled.num_ands)
-        self.report.add("rolled_back", stage, iteration,
-                        counterexample=cex.to_dict())
-        obs.metrics().inc("guard.rollbacks", stage=stage)
-        return rolled
 
 
 # -- the flow ------------------------------------------------------------------
@@ -463,6 +462,86 @@ def _check_resume(resume: ResumePoint, aig: Aig, total_stages: int) -> None:
             f"{total_stages} stages")
 
 
+@dataclass
+class _FlowRun:
+    """What :func:`_flow_envelope` hands its flow body."""
+
+    stats: FlowStats
+    report: GuardReport
+    current: Aig                 #: the network the first stage runs on
+    best: Aig                    #: best so far, then the result
+    depth_limit: Optional[int]
+    origin: float                #: wall clock at runtime 0 (earlier on resume)
+    start_index: int = 0         #: global stage cursor (resume point)
+
+    def runtime_s(self) -> float:
+        """Flow runtime so far, including the run a resume continues."""
+        return time.time() - self.origin
+
+
+@contextmanager
+def _flow_envelope(aig: Aig, config: FlowConfig, stages: int,
+                   iterations: int, span_attrs: Dict[str, Any],
+                   resume: Optional[ResumePoint] = None,
+                   ) -> Iterator[_FlowRun]:
+    """Guard report, ``flow`` span, bus events and ``initial``/``final``
+    rows around a flow body, which leaves its result in ``run.best``.
+
+    The depth limit and start state come from *resume* or from *aig*.
+    The guard report is recorded even when the body raises.
+    """
+    chaos = config.chaos
+    chaos_mark = len(chaos.injected) if chaos is not None else 0
+    stats = FlowStats()
+    stats.guard = report = GuardReport(
+        budget_s=config.flow_timeout_s,
+        chaos_seed=chaos.seed if chaos is not None else None)
+    now = time.time()
+    try:
+        with obs.span("flow", kind="flow", design=aig.name,
+                      **span_attrs) as flow_span:
+            if resume is not None:
+                state = resume.state
+                run = _FlowRun(stats, report, current=resume.network,
+                               best=resume.best,
+                               depth_limit=state.depth_limit,
+                               origin=now - state.runtime_s,
+                               start_index=state.next_index)
+                stats.records = [StageRecord(r["name"], r["size"],
+                                             r.get("elapsed_s", 0.0))
+                                 for r in state.records]
+                report.resumed_from = state.next_index
+                report.add("resume", state.stage, state.iteration,
+                           next_index=state.next_index)
+                obs.metrics().inc("guard.resumes")
+            else:
+                initial = aig.cleanup()
+                stats.record("initial", initial.num_ands)
+                depth_limit = None
+                if config.max_depth_growth is not None:
+                    depth_limit = max(
+                        1, int(initial.depth * config.max_depth_growth))
+                run = _FlowRun(stats, report, current=initial, best=initial,
+                               depth_limit=depth_limit, origin=now)
+            flow_span.set("nodes_before", run.best.num_ands)
+            bus = obs.live_bus()
+            if bus.enabled:
+                bus.emit("flow_start", design=aig.name,
+                         nodes=run.best.num_ands, stages=stages,
+                         iterations=iterations, resumed_at=run.start_index)
+            yield run
+            stats.runtime_s = run.runtime_s()
+            stats.record("final", run.best.num_ands)
+            flow_span.set("nodes_after", run.best.num_ands)
+            if bus.enabled:
+                bus.emit("flow_end", design=aig.name, nodes=run.best.num_ands)
+    finally:
+        if chaos is not None:
+            report.faults.extend(chaos.injected_since(chaos_mark))
+        obs.record_guard_report(report)
+    obs.record_flow_stats(stats)
+
+
 def sbm_flow(aig: Aig, config: Optional[FlowConfig] = None,
              resume_from: Optional[str] = None) -> Tuple[Aig, FlowStats]:
     """Run the full SBM Boolean resynthesis script; returns a new network.
@@ -487,123 +566,79 @@ def sbm_flow(aig: Aig, config: Optional[FlowConfig] = None,
         return orchestrated_flow(aig, config)
     _warn_inline_timeout(config)
     specs = _stage_specs(config)
-    per_iter = len(specs)
-    total = per_iter * config.iterations
-    chaos = config.chaos
-    chaos_mark = len(chaos.injected) if chaos is not None else 0
-    stats = FlowStats()
-    stats.guard = report = GuardReport(
-        budget_s=config.flow_timeout_s,
-        chaos_seed=chaos.seed if chaos is not None else None)
+    total = len(specs) * config.iterations
     resume = load_checkpoint(resume_from) if resume_from is not None else None
     if resume is not None:
         _check_resume(resume, aig, total)
-    start = time.time()
-    try:
-        best = _execute_flow(aig, config, specs, stats, report, resume, start)
-    finally:
-        if chaos is not None:
-            report.faults.extend(chaos.injected_since(chaos_mark))
-        obs.record_guard_report(report)
-    obs.record_flow_stats(stats)
-    return best, stats
+    with _flow_envelope(aig, config, stages=total,
+                        iterations=config.iterations,
+                        span_attrs={"iterations": config.iterations,
+                                    "jobs": config.jobs},
+                        resume=resume) as run:
+        _execute_flow(aig, config, specs, run)
+    return run.best, run.stats
 
 
 def _execute_flow(aig: Aig, config: FlowConfig, specs: List[_StageSpec],
-                  stats: FlowStats, report: GuardReport,
-                  resume: Optional[ResumePoint], start_wall: float) -> Aig:
+                  run: _FlowRun) -> None:
+    """The waterfall body: every stage of every iteration, checkpointed."""
     per_iter = len(specs)
     total = per_iter * config.iterations
     chaos = config.chaos
-    with obs.span("flow", kind="flow", design=aig.name,
-                  iterations=config.iterations,
-                  jobs=config.jobs) as flow_span:
-        if resume is not None:
-            current = resume.network
-            best = resume.best
-            depth_limit = resume.state.depth_limit
-            start_index = resume.state.next_index
-            prior_runtime = resume.state.runtime_s
-            stats.records = [StageRecord(r["name"], r["size"],
-                                         r.get("elapsed_s", 0.0))
-                             for r in resume.state.records]
-            report.resumed_from = start_index
-            report.add("resume", resume.state.stage, resume.state.iteration,
-                       next_index=start_index)
-            obs.metrics().inc("guard.resumes")
-        else:
-            best = aig.cleanup()
-            current = best
-            stats.record("initial", best.num_ands)
-            depth_limit = None
-            if config.max_depth_growth is not None:
-                depth_limit = max(1, int(best.depth * config.max_depth_growth))
-            start_index = 0
-            prior_runtime = 0.0
-        flow_span.set("nodes_before", best.num_ands)
-        bus = obs.live_bus()
-        if bus.enabled:
-            bus.emit("flow_start", design=aig.name, nodes=best.num_ands,
-                     stages=total, iterations=config.iterations,
-                     resumed_at=start_index)
-        deadline = DeadlineManager(config.flow_timeout_s,
-                                   total - start_index)
-        store = CheckpointStore(config.checkpoint_dir) \
-            if config.checkpoint_dir else None
-        guard = StageGuard(current.cleanup()) \
-            if config.verify_each_step else None
-        runner = _StageRunner(config, stats, report, deadline, guard,
-                              depth_limit, total_stages=total)
+    stats, report = run.stats, run.report
+    current, best = run.current, run.best
+    start_index = run.start_index
+    deadline = DeadlineManager(config.flow_timeout_s, total - start_index)
+    store = CheckpointStore(config.checkpoint_dir) \
+        if config.checkpoint_dir else None
+    guard = StageGuard(current.cleanup()) \
+        if config.verify_each_step else None
+    runner = _StageRunner(config, stats, report, deadline, guard,
+                          run.depth_limit, total_stages=total)
 
-        def checkpoint(stage_index: int, iteration: int,
-                       stage_name: str) -> None:
-            """Commit a checkpoint (if configured), then honour a scheduled
-            chaos interrupt — the deterministic stand-in for ``kill -9``."""
-            if store is not None:
-                state = CheckpointState(
-                    next_index=stage_index + 1, iteration=iteration,
-                    stage=stage_name, total_stages=total, design=aig.name,
-                    num_pis=current.num_pis, num_pos=current.num_pos,
-                    depth_limit=depth_limit,
-                    runtime_s=prior_runtime + (time.time() - start_wall),
-                    records=[{"name": r.name, "size": r.size,
-                              "elapsed_s": r.elapsed_s}
-                             for r in stats.records])
-                store.save(state, current, best)
-                report.add("checkpoint", stage_name, iteration,
-                           next_index=stage_index + 1)
-                obs.metrics().inc("guard.checkpoints")
-            if chaos is not None and chaos.should_interrupt(stage_index):
-                report.add("interrupted", stage_name, iteration,
-                           stage_index=stage_index)
-                raise ChaosInterrupt(stage_index, config.checkpoint_dir)
+    def checkpoint(stage_index: int, iteration: int,
+                   stage_name: str) -> None:
+        """Commit a checkpoint (if configured), then honour a scheduled
+        chaos interrupt — the deterministic stand-in for ``kill -9``."""
+        if store is not None:
+            state = CheckpointState(
+                next_index=stage_index + 1, iteration=iteration,
+                stage=stage_name, total_stages=total, design=aig.name,
+                num_pis=current.num_pis, num_pos=current.num_pos,
+                depth_limit=run.depth_limit, runtime_s=run.runtime_s(),
+                records=[{"name": r.name, "size": r.size,
+                          "elapsed_s": r.elapsed_s}
+                         for r in stats.records])
+            store.save(state, current, best)
+            report.add("checkpoint", stage_name, iteration,
+                       next_index=stage_index + 1)
+            obs.metrics().inc("guard.checkpoints")
+        if chaos is not None and chaos.should_interrupt(stage_index):
+            report.add("interrupted", stage_name, iteration,
+                       stage_index=stage_index)
+            raise ChaosInterrupt(stage_index, config.checkpoint_dir)
 
-        for iteration in range(config.iterations):
-            base = iteration * per_iter
-            if base + per_iter <= start_index:
-                continue  # iteration fully covered by the checkpoint
-            effort = iteration + 1
-            with obs.span(f"iteration[{effort}]", kind="iteration",
-                          effort=effort,
-                          nodes_before=current.num_ands) as it_span:
-                for pos, spec in enumerate(specs):
-                    stage_index = base + pos
-                    if stage_index < start_index:
-                        continue  # stage covered by the checkpoint
-                    current = runner.run_stage(current, spec, iteration,
-                                               stage_index)
-                    if pos < per_iter - 1:
-                        checkpoint(stage_index, iteration, spec.name)
-                it_span.set("nodes_after", current.num_ands)
-            if current.num_ands < best.num_ands:
-                best = current.cleanup()
-            # The iteration's last checkpoint lands after the best-so-far
-            # update so a resumed run carries the same `best` an
-            # uninterrupted one would.
-            checkpoint(base + per_iter - 1, iteration, specs[-1].name)
-        stats.runtime_s = prior_runtime + (time.time() - start_wall)
-        stats.record("final", best.num_ands)
-        flow_span.set("nodes_after", best.num_ands)
-        if bus.enabled:
-            bus.emit("flow_end", design=aig.name, nodes=best.num_ands)
-    return best
+    for iteration in range(config.iterations):
+        base = iteration * per_iter
+        if base + per_iter <= start_index:
+            continue  # iteration fully covered by the checkpoint
+        effort = iteration + 1
+        with obs.span(f"iteration[{effort}]", kind="iteration",
+                      effort=effort,
+                      nodes_before=current.num_ands) as it_span:
+            for pos, spec in enumerate(specs):
+                stage_index = base + pos
+                if stage_index < start_index:
+                    continue  # stage covered by the checkpoint
+                current = runner.run_stage(current, spec, iteration,
+                                           stage_index)
+                if pos < per_iter - 1:
+                    checkpoint(stage_index, iteration, spec.name)
+            it_span.set("nodes_after", current.num_ands)
+        if current.num_ands < best.num_ands:
+            best = current.cleanup()
+        # The iteration's last checkpoint lands after the best-so-far
+        # update so a resumed run carries the same `best` an
+        # uninterrupted one would.
+        checkpoint(base + per_iter - 1, iteration, specs[-1].name)
+    run.best = best

@@ -26,7 +26,6 @@ from repro.aig.aig import Aig, lit_not
 from repro.errors import CheckpointError, EquivalenceError
 from repro.guard.budget import FULL, REDUCED, SKIP, DeadlineManager
 from repro.guard.chaos import (
-    FAULT_KINDS,
     ChaosInterrupt,
     FaultPlan,
     corrupt_window_result,

@@ -17,6 +17,9 @@ The contracts under test:
   chaos disables the memo entirely.
 * **Key hygiene** — stage keys track semantic knobs only; execution
   knobs (threads) never enter flow or stage keys.
+* **One stage executor** — a K=1 search runs the waterfall's stages
+  through the same guarded step, so it matches the waterfall's network,
+  per-stage sizes and depth-rollback rows.
 """
 
 from __future__ import annotations
@@ -214,6 +217,42 @@ class TestChaos:
         assert ok, "guard let a corrupted candidate through"
         # chaos makes stage results fault-dependent: memo must be off
         assert stats.orchestrate["stage_memo"] is None
+
+
+# -- one stage executor -------------------------------------------------------
+
+def _depth_rollback_rows(stats):
+    """``(stage, size)`` of every depth-rollback row, suffix removed."""
+    return [(record.name.split(":")[0], record.size)
+            for record in stats.records if ":rolled_back[" in record.name]
+
+
+class TestStageExecutorParity:
+    """A K=1, one-round search runs the waterfall's ordering through the
+    same guarded stage step, so it must reproduce the waterfall exactly —
+    including how a depth rollback is reported."""
+
+    @pytest.mark.parametrize("name,overrides,depth_rollbacks", [
+        ("router", {}, False),
+        ("router", {"verify_each_step": True}, False),
+        ("router", {"max_depth_growth": 1.0}, True),
+        ("arbiter", {}, False),
+    ], ids=["router", "router-verify", "router-depth", "arbiter"])
+    def test_k1_search_matches_waterfall(self, name, overrides,
+                                         depth_rollbacks):
+        aig = get_benchmark(name)
+        config = FlowConfig(iterations=1, **overrides)
+        waterfall, flow_stats = sbm_flow(aig, config)
+        searched, search_stats = sbm_flow(aig, dataclasses.replace(
+            config, orchestrate=OrchestrateConfig(k=1, rounds=1)))
+        assert network_fingerprint(searched) == network_fingerprint(waterfall)
+        assert ([record.size for record in search_stats.records]
+                == [record.size for record in flow_stats.records])
+        rows = _depth_rollback_rows(flow_stats)
+        assert bool(rows) == depth_rollbacks
+        assert _depth_rollback_rows(search_stats) == rows
+        assert flow_stats.guard.rollbacks == 0
+        assert search_stats.guard.rollbacks == 0
 
 
 # -- suite + campaign wiring --------------------------------------------------

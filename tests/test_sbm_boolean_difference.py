@@ -1,14 +1,9 @@
 """Tests for the Boolean-difference resubstitution engine (Section III)."""
 
-import random
-
 from repro.aig.aig import Aig, lit_not
 from repro.partition.partitioner import PartitionConfig
 from repro.sat.equivalence import assert_equivalent, check_equivalence
-from repro.sbm.boolean_difference import (
-    BooleanDifferenceStats,
-    boolean_difference_pass,
-)
+from repro.sbm.boolean_difference import boolean_difference_pass
 from repro.sbm.config import BooleanDifferenceConfig
 
 
